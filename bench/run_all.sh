@@ -20,6 +20,10 @@
 # the google-benchmark microbenchmark suites — their wall-clock timings are
 # not deterministic, so they never gate); the default set is the
 # virtual-clock deterministic one and finishes in a few minutes.
+#
+# A failing bench (a gate inside it exits nonzero) or a failing --check
+# step does not stop the run: every bench and every check runs, the
+# failures are listed at the end, and only then does the script exit 1.
 set -eu
 
 SCRIPT_DIR="$(CDPATH= cd -- "$(dirname -- "$0")" && pwd)"
@@ -74,6 +78,14 @@ else
   echo "(FULL=1 adds fig10 and the microbenchmark suites)"
 fi
 
+# Gate failures seen so far, reported together at the end.
+FAILED=""
+fail() {
+  echo "FAILED: $1" >&2
+  FAILED="$FAILED
+  $1"
+}
+
 NAMES=""
 for Spec in $BENCHES; do
   Name="${Spec%%:*}"
@@ -81,9 +93,18 @@ for Spec in $BENCHES; do
   Bin="${Rest%%:*}"
   Args="${Rest#*:}"
   echo "== $Name ($Bin) =="
+  rm -f "$OUT_DIR/$Name.json"
+  Status=0
   # shellcheck disable=SC2086 # Args is intentionally word-split
   "$BENCH_DIR/$Bin" --json="$OUT_DIR/$Name.json" $Args \
-    > "$OUT_DIR/$Name.txt"
+    > "$OUT_DIR/$Name.txt" || Status=$?
+  if [ "$Status" != 0 ]; then
+    fail "$Name: $Bin exited $Status (see $OUT_DIR/$Name.txt)"
+  fi
+  if [ ! -f "$OUT_DIR/$Name.json" ]; then
+    fail "$Name: $Bin wrote no JSON document"
+    continue
+  fi
   NAMES="$NAMES $Name"
   # google-benchmark binaries also drop a wall-clock sibling document
   # ("<name>_wall.json"); aggregate it under "<name>_wall" so
@@ -153,7 +174,7 @@ if [ "$CHECK" = 1 ]; then
   WARMUP="$BUILD_DIR/tools/evm-warmup"
   if [ -x "$WARMUP" ]; then
     echo "== steady-state series report =="
-    "$WARMUP" "$RESULTS"
+    "$WARMUP" "$RESULTS" || fail "evm-warmup series report"
   else
     echo "note: $WARMUP not built, skipping series report"
   fi
@@ -163,7 +184,7 @@ if [ "$CHECK" = 1 ]; then
   PROF="$BUILD_DIR/tools/evm-prof"
   if [ -x "$PROF" ] && [ -f "$OUT_DIR/dispatch.json" ]; then
     echo "== superinstruction coverage (evm-prof --fusion) =="
-    "$PROF" --fusion "$OUT_DIR/dispatch.json"
+    "$PROF" --fusion "$OUT_DIR/dispatch.json" || fail "evm-prof --fusion"
   else
     echo "note: evm-prof or dispatch document missing, skipping fusion report"
   fi
@@ -175,13 +196,22 @@ if [ "$CHECK" = 1 ]; then
   if [ -x "$EXPLAIN" ] && [ -f "$OUT_DIR/openworld_decisions.jsonl" ]; then
     echo "== decision-ledger report (evm-explain) =="
     "$EXPLAIN" --strict --drift-run=16 --max-exposure=0.10 \
-      --min-fallback=0.5 "$OUT_DIR/openworld_decisions.jsonl"
+      --min-fallback=0.5 "$OUT_DIR/openworld_decisions.jsonl" ||
+      fail "evm-explain --strict (openworld drift gates)"
     if [ -f "$OUT_DIR/crossrun_decisions.jsonl" ]; then
-      "$EXPLAIN" "$OUT_DIR/crossrun_decisions.jsonl"
+      "$EXPLAIN" "$OUT_DIR/crossrun_decisions.jsonl" ||
+        fail "evm-explain (crossrun report)"
     fi
   else
     echo "note: evm-explain or openworld ledger missing, skipping report"
   fi
   echo "== bench-compare vs $BASELINE =="
-  "$REPO_DIR/tools/bench-compare" "$BASELINE" "$RESULTS"
+  "$REPO_DIR/tools/bench-compare" "$BASELINE" "$RESULTS" ||
+    fail "bench-compare vs $BASELINE"
+fi
+
+if [ -n "$FAILED" ]; then
+  echo "== failing gates ==" >&2
+  echo "$FAILED" | sed '/^$/d' >&2
+  exit 1
 fi

@@ -25,7 +25,7 @@
 
 #include "bytecode/Module.h"
 #include "vm/Timing.h"
-#include "vm/jit/Compiler.h"
+#include "vm/CompiledCode.h"
 
 #include <condition_variable>
 #include <deque>
@@ -52,7 +52,7 @@ struct CompileRequest {
 /// A finished background compilation: the request plus the compiled code.
 struct CompileResult {
   CompileRequest Request;
-  std::shared_ptr<const jit::CompiledFunction> Code;
+  std::shared_ptr<const CompiledCode> Code; ///< lowered on the worker
 };
 
 /// MPSC queue of compile requests, with a mailbox for finished results.

@@ -10,7 +10,7 @@ using namespace evm::vm;
 
 CompileWorkerPool::CompileWorkerPool(const bc::Module &M,
                                      const TimingModel &TM)
-    : M(M), Capacity(std::max<uint64_t>(1, TM.CompileQueueCapacity)),
+    : M(M), TM(TM), Capacity(std::max<uint64_t>(1, TM.CompileQueueCapacity)),
       QueueDelay(TM.CompileQueueDelayCycles) {
   unsigned N = std::max<unsigned>(1, static_cast<unsigned>(TM.NumCompileWorkers));
   WorkerFreeCycle.assign(N, 0);
@@ -29,8 +29,8 @@ void CompileWorkerPool::workerMain() {
   while (std::optional<CompileRequest> R = Queue.pop()) {
     CompileResult Result;
     Result.Request = *R;
-    Result.Code = std::make_shared<jit::CompiledFunction>(
-        jit::compileAtLevel(M, R->Method, R->Level));
+    Result.Code =
+        lowerCompiledCode(jit::compileAtLevel(M, R->Method, R->Level), TM);
     Queue.postResult(std::move(Result));
   }
 }

@@ -97,6 +97,7 @@ private:
   void workerMain();
 
   const bc::Module &M;
+  const TimingModel TM;      ///< prices the lowered streams
   const uint64_t Capacity;   ///< max in-flight (not yet installed) requests
   const uint64_t QueueDelay; ///< TM.CompileQueueDelayCycles
   CompileQueue Queue;

@@ -4,6 +4,7 @@
 
 #include "vm/Eval.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -17,25 +18,6 @@ using bc::Value;
 CompilationPolicy::~CompilationPolicy() = default;
 
 namespace {
-
-/// Execution cost of one IR instruction (dispatch excluded).
-uint64_t irInstrCost(const jit::IRInstr &I) {
-  switch (I.Op) {
-  case jit::IROp::Binary:
-  case jit::IROp::Unary:
-    return scalarOpCost(I.ScalarOp);
-  case jit::IROp::NewArr:
-    return scalarOpCost(Opcode::NewArr);
-  case jit::IROp::HLoad:
-    return scalarOpCost(Opcode::HLoad);
-  case jit::IROp::HStore:
-    return scalarOpCost(Opcode::HStore);
-  case jit::IROp::Call:
-    return 4;
-  default:
-    return 1; // MovImm/Mov/Jump/CondJump/Ret
-  }
-}
 
 /// Phase-frame names per optimizing level (stable string literals).
 const char *jitExecPhase(OptLevel L) {
@@ -76,14 +58,14 @@ const char *backgroundCompilePhase(OptLevel L) {
 /// (the jit/compile/oN node) across the pipeline's passes, proportional to
 /// recorded pass work.  Integer shares; the rounding remainder stays on
 /// the compile node itself.
-void splitPassCycles(PhaseProfiler &P, const jit::CompiledFunction &Code,
+void splitPassCycles(PhaseProfiler &P, const std::vector<jit::PassWork> &Passes,
                      uint64_t Cost) {
   uint64_t TotalWork = 0;
-  for (const jit::PassWork &PW : Code.Passes)
+  for (const jit::PassWork &PW : Passes)
     TotalWork += PW.Work;
   if (!TotalWork)
     return;
-  for (const jit::PassWork &PW : Code.Passes)
+  for (const jit::PassWork &PW : Passes)
     P.splitToChild(PW.Name, Cost * PW.Work / TotalWork, PW.Runs);
 }
 
@@ -132,7 +114,7 @@ void ExecutionEngine::setCodeOverride(
   assert(Id < M.numFunctions() && "method id out of range");
   if (CodeOverrides.size() < M.numFunctions())
     CodeOverrides.resize(M.numFunctions());
-  CodeOverrides[Id] = std::move(Code);
+  CodeOverrides[Id] = Code ? lowerCompiledCode(*Code, TM) : nullptr;
 }
 
 void ExecutionEngine::setTrap(TrapKind Kind, MethodId Method,
@@ -220,16 +202,15 @@ void ExecutionEngine::installLevel(MethodId Id, OptLevel L) {
   // Compile before charging so the pass-work breakdown exists when the
   // cost lump is attributed; compileAtLevel is pure, so the reorder is
   // unobservable outside the profiler.
-  auto Code = std::make_shared<jit::CompiledFunction>(
-      jit::compileAtLevel(M, Id, L));
+  jit::CompiledFunction Code = jit::compileAtLevel(M, Id, L);
   {
     ScopedPhase CompileScope(compilePhase(L));
     charge(Cost);
     if (Prof)
-      splitPassCycles(*Prof, *Code, Cost);
+      splitPassCycles(*Prof, Code.Passes, Cost);
   }
   OptLevel OldLevel = State.Level;
-  State.Code = std::move(Code);
+  State.Code = lowerCompiledCode(Code, TM);
   State.Level = L;
   State.Stats.FinalLevel = L;
   ++State.Stats.NumCompiles;
@@ -357,9 +338,8 @@ void ExecutionEngine::chargeOverhead(uint64_t N) {
   charge(N);
 }
 
-std::optional<Value> ExecutionEngine::invoke(MethodId Id,
-                                             const std::vector<Value> &Args,
-                                             int Depth) {
+std::optional<Value> ExecutionEngine::invoke(MethodId Id, const Value *Args,
+                                             uint32_t NumArgs, int Depth) {
   if (Depth > MaxCallDepth) {
     setTrap(TrapKind::CallDepthExceeded, Id, 0);
     return std::nullopt;
@@ -392,37 +372,36 @@ std::optional<Value> ExecutionEngine::invoke(MethodId Id,
 
   std::optional<Value> Result;
   if (State.Level == OptLevel::Baseline) {
-    Result = interpret(Id, Args, Depth);
+    Result = interpret(Id, Args, NumArgs, Depth);
   } else {
     // Hold a reference so a mid-execution recompilation cannot free the
     // code this frame is running.
-    std::shared_ptr<const jit::CompiledFunction> Code = State.Code;
-    Result = executeCompiled(Id, *Code, Args, Depth);
+    std::shared_ptr<const CompiledCode> Code = State.Code;
+    Result = executeCompiled(Id, *Code, Args, NumArgs, Depth);
   }
 
   CallStack.pop_back();
   return Result;
 }
 
-std::optional<Value>
-ExecutionEngine::interpret(MethodId Id, const std::vector<Value> &Args,
-                           int Depth) {
+std::optional<Value> ExecutionEngine::interpret(MethodId Id, const Value *Args,
+                                                uint32_t NumArgs, int Depth) {
   if (DispMode == DispatchMode::Switch)
-    return interpretSwitch(Id, Args, Depth);
-  return interpretDecoded(Id, Args, Depth);
+    return interpretSwitch(Id, Args, NumArgs, Depth);
+  return interpretDecoded(Id, Args, NumArgs, Depth);
 }
 
-std::optional<Value>
-ExecutionEngine::interpretSwitch(MethodId Id, const std::vector<Value> &Args,
-                                 int Depth) {
+std::optional<Value> ExecutionEngine::interpretSwitch(MethodId Id,
+                                                      const Value *Args,
+                                                      uint32_t NumArgs,
+                                                      int Depth) {
   const bc::Function &F = M.function(Id);
-  assert(Args.size() == F.NumParams && "arity mismatch");
+  assert(NumArgs == F.NumParams && "arity mismatch");
 
+  std::vector<Value> Locals(F.NumLocals, Value::makeInt(0));
+  std::copy(Args, Args + NumArgs, Locals.begin());
   PROF_SCOPE("interp");
   charge(TM.InterpCallOverhead);
-  std::vector<Value> Locals(F.NumLocals, Value::makeInt(0));
-  for (size_t K = 0; K != Args.size(); ++K)
-    Locals[K] = Args[K];
   std::vector<Value> Stack;
   Stack.reserve(16);
 
@@ -481,9 +460,10 @@ ExecutionEngine::interpretSwitch(MethodId Id, const std::vector<Value> &Args,
     case Opcode::Call: {
       MethodId Callee = static_cast<MethodId>(I.Operand);
       uint32_t Arity = M.function(Callee).NumParams;
-      std::vector<Value> CallArgs(Stack.end() - Arity, Stack.end());
+      std::optional<Value> R =
+          invoke(Callee, Stack.data() + (Stack.size() - Arity), Arity,
+                 Depth + 1);
       Stack.resize(Stack.size() - Arity);
-      std::optional<Value> R = invoke(Callee, CallArgs, Depth + 1);
       if (!R)
         return std::nullopt;
       Stack.push_back(*R);
@@ -750,9 +730,9 @@ static_assert(0 EVM_FOR_EACH_OPCODE(EVM_COUNT_ONE) == bc::NumOpcodes,
   {                                                                            \
     MethodId Callee = static_cast<MethodId>(OPND);                             \
     uint32_t Arity = M.function(Callee).NumParams;                             \
-    std::vector<Value> CallArgs(Stack.end() - Arity, Stack.end());             \
+    std::optional<Value> R = invoke(                                           \
+        Callee, Stack.data() + (Stack.size() - Arity), Arity, Depth + 1);      \
     Stack.resize(Stack.size() - Arity);                                        \
-    std::optional<Value> R = invoke(Callee, CallArgs, Depth + 1);              \
     if (!R)                                                                    \
       return std::nullopt;                                                     \
     Stack.push_back(*R);                                                       \
@@ -848,19 +828,19 @@ static_assert(0 EVM_FOR_EACH_OPCODE(EVM_COUNT_ONE) == bc::NumOpcodes,
     EVM_NEXT;                                                                  \
   }
 
-std::optional<Value>
-ExecutionEngine::interpretDecoded(MethodId Id, const std::vector<Value> &Args,
-                                  int Depth) {
+std::optional<Value> ExecutionEngine::interpretDecoded(MethodId Id,
+                                                       const Value *Args,
+                                                       uint32_t NumArgs,
+                                                       int Depth) {
   const bc::Function &F = M.function(Id);
-  assert(Args.size() == F.NumParams && "arity mismatch");
+  assert(NumArgs == F.NumParams && "arity mismatch");
   assert(Id < Decoded.size() && "module not decoded (Switch mode?)");
   const DecodedFunction &DF = Decoded[Id];
 
+  std::vector<Value> Locals(F.NumLocals, Value::makeInt(0));
+  std::copy(Args, Args + NumArgs, Locals.begin());
   PROF_SCOPE("interp");
   charge(TM.InterpCallOverhead);
-  std::vector<Value> Locals(F.NumLocals, Value::makeInt(0));
-  for (size_t K = 0; K != Args.size(); ++K)
-    Locals[K] = Args[K];
   std::vector<Value> Stack;
   Stack.reserve(16);
 
@@ -920,122 +900,341 @@ ExecutionEngine::interpretDecoded(MethodId Id, const std::vector<Value> &Args,
 #undef EVM_SINGLE_HANDLER
 #undef EVM_FUSED_HANDLER
 
-std::optional<Value> ExecutionEngine::executeCompiled(
-    MethodId Id, const jit::CompiledFunction &Code,
-    const std::vector<Value> &Args, int Depth) {
-  const jit::IRFunction &F = Code.IR;
-  assert(Args.size() == F.NumParams && "arity mismatch");
+//===----------------------------------------------------------------------===//
+// The compiled-tier executor
+//
+// Walks a CompiledCode stream (vm/CompiledCode.h).  Three things keep
+// bookkeeping off the per-entry path:
+//
+//  * A countdown cycle budget in a local.  At a settle point the budget is
+//    Left = min(NextSampleAt, MaxCycles + 1) - Cycles (see budgetLeft);
+//    every entry subtracts its precomputed charge, and only when Left drops
+//    to zero or below is a sample or fuel trap possibly due.  Then the
+//    cycles spent since the last settle point go through charge() in one
+//    lump.  Before that lump no threshold was crossed, so the lump fires
+//    samples and traps on exactly the cycle per-entry charging would, and
+//    CyclesByLevel and the phase profiler receive the same sums.
+//  * Settle points: budget exhaustion, before every call, after every
+//    return, on an operator trap, at frame exit.  A method's level changes
+//    only inside charge() (sampleTick -> installLevel) or inside a
+//    callee's invoke (drainReadyCompiles), both behind a settle point, so
+//    attributing a lump to the method's current level is exact.
+//    PendingTrap is tested only where it can become set: after a settle
+//    through charge(), after a call, and on an operator trap.
+//  * Register windows carved from the engine's Arena.  A call stages its
+//    arguments just past the caller's window, which is where the callee's
+//    window starts, so arguments are copied once, straight into place.
+//===----------------------------------------------------------------------===//
+
+int64_t ExecutionEngine::budgetLeft() const {
+  if (PendingTrap != TrapKind::None)
+    return 0;
+  uint64_t Limit = MaxCycles == UINT64_MAX
+                       ? NextSampleAt
+                       : std::min(NextSampleAt, MaxCycles + 1);
+  assert(Limit > Cycles && "a sample or fuel trap is overdue");
+  // Half the int64 range: an exhausted budget sits at most one entry's
+  // charge below zero, so Start - Left cannot overflow.
+  return static_cast<int64_t>(
+      std::min<uint64_t>(Limit - Cycles, uint64_t(1) << 62));
+}
+
+namespace {
+
+/// The int/int result of a binary operator, or false when evalBinary must
+/// decide (a trap, or INT64_MIN / -1).  Same semantics as vm/Eval.
+template <Opcode Op> inline bool intBinary(int64_t X, int64_t Y, int64_t &R) {
+  using U = uint64_t;
+  if constexpr (Op == Opcode::Add) {
+    R = static_cast<int64_t>(static_cast<U>(X) + static_cast<U>(Y));
+  } else if constexpr (Op == Opcode::Sub) {
+    R = static_cast<int64_t>(static_cast<U>(X) - static_cast<U>(Y));
+  } else if constexpr (Op == Opcode::Mul) {
+    R = static_cast<int64_t>(static_cast<U>(X) * static_cast<U>(Y));
+  } else if constexpr (Op == Opcode::Div || Op == Opcode::Mod) {
+    if (Y == 0 || (X == INT64_MIN && Y == -1))
+      return false;
+    R = Op == Opcode::Div ? X / Y : X % Y;
+  } else if constexpr (Op == Opcode::And) {
+    R = X & Y;
+  } else if constexpr (Op == Opcode::Or) {
+    R = X | Y;
+  } else if constexpr (Op == Opcode::Xor) {
+    R = X ^ Y;
+  } else if constexpr (Op == Opcode::Shl) {
+    R = static_cast<int64_t>(static_cast<U>(X) << (Y & 63));
+  } else if constexpr (Op == Opcode::Shr) {
+    R = X >> (Y & 63);
+  } else if constexpr (Op == Opcode::Eq) {
+    R = X == Y;
+  } else if constexpr (Op == Opcode::Ne) {
+    R = X != Y;
+  } else if constexpr (Op == Opcode::Lt) {
+    R = X < Y;
+  } else if constexpr (Op == Opcode::Le) {
+    R = X <= Y;
+  } else if constexpr (Op == Opcode::Gt) {
+    R = X > Y;
+  } else if constexpr (Op == Opcode::Ge) {
+    R = X >= Y;
+  } else if constexpr (Op == Opcode::Min) {
+    R = std::min(X, Y);
+  } else {
+    static_assert(Op == Opcode::Max, "not a binary operator");
+    R = std::max(X, Y);
+  }
+  return true;
+}
+
+/// The result of a unary operator when it needs no libm call, or false to
+/// defer to evalUnary.  Same semantics as vm/Eval.
+template <Opcode Op> inline bool fastUnary(const Value &A, Value &R) {
+  if constexpr (Op == Opcode::Not) {
+    R = Value::makeInt(A.isTruthy() ? 0 : 1);
+    return true;
+  } else if constexpr (Op == Opcode::I2F) {
+    R = Value::makeFloat(A.toDouble());
+    return true;
+  } else if constexpr (Op == Opcode::Neg || Op == Opcode::Abs) {
+    if (!A.isInt())
+      return false;
+    uint64_t X = static_cast<uint64_t>(A.asInt());
+    R = Value::makeInt(Op == Opcode::Abs && A.asInt() >= 0
+                           ? A.asInt()
+                           : static_cast<int64_t>(0 - X));
+    return true;
+  } else if constexpr (Op == Opcode::F2I || Op == Opcode::Floor) {
+    if (!A.isInt())
+      return false;
+    R = A;
+    return true;
+  } else {
+    return false; // Sqrt, Sin, Cos
+  }
+}
+
+/// Restores the arena top when a compiled frame exits by any path.
+struct WindowRelease {
+  size_t &Top;
+  size_t Base;
+  ~WindowRelease() { Top = Base; }
+};
+
+} // namespace
+
+std::optional<Value> ExecutionEngine::executeCompiled(MethodId Id,
+                                                      const CompiledCode &Code,
+                                                      const Value *Args,
+                                                      uint32_t NumArgs,
+                                                      int Depth) {
+  assert(NumArgs == M.function(Id).NumParams && "arity mismatch");
 
   ScopedPhase TierScope(jitExecPhase(Code.Level));
   charge(TM.CompiledCallOverhead);
-  std::vector<Value> Regs(F.NumRegs, Value::makeInt(0));
-  for (size_t K = 0; K != Args.size(); ++K)
-    Regs[K] = Args[K];
+  if (PendingTrap != TrapKind::None)
+    return std::nullopt;
 
-  jit::BlockId Block = 0;
-  size_t K = 0;
+  // Carve the register window.  Arguments staged by a compiled caller
+  // already sit at its base; anyone else's are copied in.
+  const size_t Base = ArenaTop;
+  const size_t Need = Base + Code.NumRegs + Code.MaxCallArgs;
+  const bool InPlace = NumArgs == 0 || Args == Arena.data() + Base;
+  if (Arena.size() < Need)
+    Arena.resize(std::max<size_t>({Need, 2 * Arena.size(), 256}));
+  Value *Regs = Arena.data() + Base;
+  if (!InPlace)
+    std::copy(Args, Args + NumArgs, Regs);
+  std::fill(Regs + NumArgs, Regs + Code.NumRegs, Value::makeInt(0));
+  ArenaTop = Base + Code.NumRegs;
+  WindowRelease Release{ArenaTop, Base};
+
+  const XInstr *const Stream = Code.Stream.data();
+  const uint32_t *const ArgRegs = Code.ArgRegs.data();
+  const XInstr *IP = Stream;
+  int64_t Start = budgetLeft();
+  int64_t Left = Start;
+
+// Charges the current entry.  On exhaustion, settles the clock through
+// charge() — unless the previous settle left a trap pending, in which case
+// this entry never began (per-entry charging tests the trap first).
+#define EVM_X_CHARGE                                                           \
+  if ((Left -= static_cast<int64_t>(IP->Charge)) <= 0) {                       \
+    if (PendingTrap != TrapKind::None) {                                       \
+      assert(Start - Left == static_cast<int64_t>(IP->Charge));                \
+      return std::nullopt;                                                     \
+    }                                                                          \
+    charge(static_cast<uint64_t>(Start - Left));                               \
+    Start = Left = budgetLeft();                                               \
+  }
+// Books the cycles spent since the last settle point (no event can be due).
+#define EVM_X_SETTLE                                                           \
+  do {                                                                         \
+    charge(static_cast<uint64_t>(Start - Left));                               \
+    Start = Left;                                                              \
+  } while (0)
+#define EVM_X_TRAP(KIND)                                                       \
+  do {                                                                         \
+    EVM_X_SETTLE;                                                              \
+    setTrap(KIND, Id, static_cast<size_t>(IP - Stream));                       \
+    return std::nullopt;                                                       \
+  } while (0)
+
+#define EVM_X_BINARY(OP)                                                       \
+  EVM_X_CASE(Bin_##OP) {                                                       \
+    EVM_X_CHARGE                                                               \
+    const Value &L = Regs[IP->A], &R = Regs[IP->B];                            \
+    int64_t Int;                                                               \
+    if (L.isInt() && R.isInt() &&                                              \
+        intBinary<Opcode::OP>(L.asInt(), R.asInt(), Int)) {                    \
+      Regs[IP->Dest] = Value::makeInt(Int);                                    \
+    } else {                                                                   \
+      TrapKind Trap = TrapKind::None;                                          \
+      std::optional<Value> V = evalBinary(Opcode::OP, L, R, Trap);             \
+      if (!V)                                                                  \
+        EVM_X_TRAP(Trap);                                                      \
+      Regs[IP->Dest] = *V;                                                     \
+    }                                                                          \
+    ++IP;                                                                      \
+    EVM_X_NEXT;                                                                \
+  }
+#define EVM_X_UNARY(OP)                                                        \
+  EVM_X_CASE(Un_##OP) {                                                        \
+    EVM_X_CHARGE                                                               \
+    Value V;                                                                   \
+    if (!fastUnary<Opcode::OP>(Regs[IP->A], V)) {                              \
+      TrapKind Trap = TrapKind::None;                                          \
+      V = *evalUnary(Opcode::OP, Regs[IP->A], Trap); /* never traps */         \
+    }                                                                          \
+    Regs[IP->Dest] = V;                                                        \
+    ++IP;                                                                      \
+    EVM_X_NEXT;                                                                \
+  }
+/// A heap operand: ints as-is, floats truncated (as the interpreter does).
+#define EVM_X_HEAP_INDEX(V)                                                    \
+  ((V).isInt() ? (V).asInt() : static_cast<int64_t>((V).toDouble()))
+
+#define EVM_X_HANDLERS                                                         \
+  EVM_X_CASE(MovInt) {                                                         \
+    EVM_X_CHARGE                                                               \
+    Regs[IP->Dest] = Value::makeInt(IP->Imm);                                  \
+    ++IP;                                                                      \
+    EVM_X_NEXT;                                                                \
+  }                                                                            \
+  EVM_X_CASE(MovFloat) {                                                       \
+    EVM_X_CHARGE                                                               \
+    Regs[IP->Dest] = Value::makeFloat(floatFromOperand(IP->Imm));              \
+    ++IP;                                                                      \
+    EVM_X_NEXT;                                                                \
+  }                                                                            \
+  EVM_X_CASE(Mov) {                                                            \
+    EVM_X_CHARGE                                                               \
+    Regs[IP->Dest] = Regs[IP->A];                                              \
+    ++IP;                                                                      \
+    EVM_X_NEXT;                                                                \
+  }                                                                            \
+  EVM_X_CASE(Call) {                                                           \
+    EVM_X_CHARGE                                                               \
+    EVM_X_SETTLE;                                                              \
+    Value *Out = Regs + Code.NumRegs;                                          \
+    const uint32_t *ArgReg = ArgRegs + IP->B;                                  \
+    for (uint32_t K = 0; K != IP->C; ++K)                                      \
+      Out[K] = Regs[ArgReg[K]];                                                \
+    std::optional<Value> R = invoke(IP->A, Out, IP->C, Depth + 1);             \
+    if (!R || PendingTrap != TrapKind::None)                                   \
+      return std::nullopt;                                                     \
+    Regs = Arena.data() + Base; /* the callee may have grown the arena */      \
+    Regs[IP->Dest] = *R;                                                       \
+    Start = Left = budgetLeft();                                               \
+    ++IP;                                                                      \
+    EVM_X_NEXT;                                                                \
+  }                                                                            \
+  EVM_X_CASE(NewArr) {                                                         \
+    EVM_X_CHARGE                                                               \
+    TrapKind Trap = TrapKind::None;                                            \
+    std::optional<int64_t> Addr =                                              \
+        TheHeap.alloc(EVM_X_HEAP_INDEX(Regs[IP->A]), Trap);                    \
+    if (!Addr)                                                                 \
+      EVM_X_TRAP(Trap);                                                        \
+    Regs[IP->Dest] = Value::makeInt(*Addr);                                    \
+    ++IP;                                                                      \
+    EVM_X_NEXT;                                                                \
+  }                                                                            \
+  EVM_X_CASE(HLoad) {                                                          \
+    EVM_X_CHARGE                                                               \
+    TrapKind Trap = TrapKind::None;                                            \
+    std::optional<Value> V = TheHeap.load(EVM_X_HEAP_INDEX(Regs[IP->A]), Trap); \
+    if (!V)                                                                    \
+      EVM_X_TRAP(Trap);                                                        \
+    Regs[IP->Dest] = *V;                                                       \
+    ++IP;                                                                      \
+    EVM_X_NEXT;                                                                \
+  }                                                                            \
+  EVM_X_CASE(HStore) {                                                         \
+    EVM_X_CHARGE                                                               \
+    TrapKind Trap = TrapKind::None;                                            \
+    if (!TheHeap.store(EVM_X_HEAP_INDEX(Regs[IP->A]), Regs[IP->B], Trap))      \
+      EVM_X_TRAP(Trap);                                                        \
+    ++IP;                                                                      \
+    EVM_X_NEXT;                                                                \
+  }                                                                            \
+  EVM_X_CASE(Jump) {                                                           \
+    EVM_X_CHARGE                                                               \
+    IP = Stream + IP->B;                                                       \
+    EVM_X_NEXT;                                                                \
+  }                                                                            \
+  EVM_X_CASE(CondJump) {                                                       \
+    EVM_X_CHARGE                                                               \
+    IP = Stream + (Regs[IP->A].isTruthy() ? IP->B : IP->C);                    \
+    EVM_X_NEXT;                                                                \
+  }                                                                            \
+  EVM_X_CASE(Ret) {                                                            \
+    EVM_X_CHARGE                                                               \
+    EVM_X_SETTLE;                                                              \
+    return Regs[IP->A];                                                        \
+  }                                                                            \
+  EVM_FOR_EACH_XBINARY(EVM_X_BINARY)                                           \
+  EVM_FOR_EACH_XUNARY(EVM_X_UNARY)
+
+#if EVM_USE_CGOTO
+  static const void *const Handlers[] = {
+#define EVM_X_CORE_ADDR(NAME) &&X_##NAME,
+#define EVM_X_BINARY_ADDR(OP) &&X_Bin_##OP,
+#define EVM_X_UNARY_ADDR(OP) &&X_Un_##OP,
+      EVM_FOR_EACH_XCORE(EVM_X_CORE_ADDR)
+          EVM_FOR_EACH_XBINARY(EVM_X_BINARY_ADDR)
+              EVM_FOR_EACH_XUNARY(EVM_X_UNARY_ADDR)
+#undef EVM_X_CORE_ADDR
+#undef EVM_X_BINARY_ADDR
+#undef EVM_X_UNARY_ADDR
+  };
+#define EVM_X_CASE(NAME) X_##NAME:
+#define EVM_X_NEXT goto *Handlers[static_cast<uint8_t>(IP->Op)]
+
+  EVM_X_NEXT;
+  EVM_X_HANDLERS
+
+#else // !EVM_USE_CGOTO: the same handlers behind a dense switch
+
+#define EVM_X_CASE(NAME) case XOp::NAME:
+#define EVM_X_NEXT break
+
   while (true) {
-    if (PendingTrap != TrapKind::None)
-      return std::nullopt;
-    const jit::IRInstr &I = F.Blocks[Block].Instrs[K];
-    charge(TM.CompiledDispatchCycles + irInstrCost(I));
-
-    switch (I.Op) {
-    case jit::IROp::MovImm:
-      Regs[I.Dest] = I.Imm;
-      ++K;
-      break;
-    case jit::IROp::Mov:
-      Regs[I.Dest] = Regs[I.A];
-      ++K;
-      break;
-    case jit::IROp::Binary: {
-      TrapKind Trap = TrapKind::None;
-      auto R = evalBinary(I.ScalarOp, Regs[I.A], Regs[I.B], Trap);
-      if (!R) {
-        setTrap(Trap, Id, Block);
-        return std::nullopt;
-      }
-      Regs[I.Dest] = *R;
-      ++K;
-      break;
-    }
-    case jit::IROp::Unary: {
-      TrapKind Trap = TrapKind::None;
-      auto R = evalUnary(I.ScalarOp, Regs[I.A], Trap);
-      if (!R) {
-        setTrap(Trap, Id, Block);
-        return std::nullopt;
-      }
-      Regs[I.Dest] = *R;
-      ++K;
-      break;
-    }
-    case jit::IROp::Call: {
-      std::vector<Value> CallArgs;
-      CallArgs.reserve(I.Args.size());
-      for (jit::Reg R : I.Args)
-        CallArgs.push_back(Regs[R]);
-      std::optional<Value> R = invoke(I.Callee, CallArgs, Depth + 1);
-      if (!R)
-        return std::nullopt;
-      Regs[I.Dest] = *R;
-      ++K;
-      break;
-    }
-    case jit::IROp::NewArr: {
-      TrapKind Trap = TrapKind::None;
-      int64_t Count = Regs[I.A].isInt()
-                          ? Regs[I.A].asInt()
-                          : static_cast<int64_t>(Regs[I.A].toDouble());
-      auto Base = TheHeap.alloc(Count, Trap);
-      if (!Base) {
-        setTrap(Trap, Id, Block);
-        return std::nullopt;
-      }
-      Regs[I.Dest] = Value::makeInt(*Base);
-      ++K;
-      break;
-    }
-    case jit::IROp::HLoad: {
-      TrapKind Trap = TrapKind::None;
-      int64_t Addr = Regs[I.A].isInt()
-                         ? Regs[I.A].asInt()
-                         : static_cast<int64_t>(Regs[I.A].toDouble());
-      auto Loaded = TheHeap.load(Addr, Trap);
-      if (!Loaded) {
-        setTrap(Trap, Id, Block);
-        return std::nullopt;
-      }
-      Regs[I.Dest] = *Loaded;
-      ++K;
-      break;
-    }
-    case jit::IROp::HStore: {
-      TrapKind Trap = TrapKind::None;
-      int64_t Addr = Regs[I.A].isInt()
-                         ? Regs[I.A].asInt()
-                         : static_cast<int64_t>(Regs[I.A].toDouble());
-      if (!TheHeap.store(Addr, Regs[I.B], Trap)) {
-        setTrap(Trap, Id, Block);
-        return std::nullopt;
-      }
-      ++K;
-      break;
-    }
-    case jit::IROp::Jump:
-      Block = I.Target;
-      K = 0;
-      break;
-    case jit::IROp::CondJump:
-      Block = Regs[I.A].isTruthy() ? I.Target : I.Target2;
-      K = 0;
-      break;
-    case jit::IROp::Ret:
-      return Regs[I.A];
+    switch (IP->Op) {
+      EVM_X_HANDLERS
     }
   }
+#endif
 }
+
+#undef EVM_X_CHARGE
+#undef EVM_X_SETTLE
+#undef EVM_X_TRAP
+#undef EVM_X_BINARY
+#undef EVM_X_UNARY
+#undef EVM_X_HEAP_INDEX
+#undef EVM_X_HANDLERS
+#undef EVM_X_CASE
+#undef EVM_X_NEXT
 
 ErrorOr<RunResult> ExecutionEngine::run(const std::vector<Value> &Args,
                                         uint64_t MaxCyclesIn,
@@ -1054,6 +1253,7 @@ ErrorOr<RunResult> ExecutionEngine::run(const std::vector<Value> &Args,
     State.Stats.FinalLevel = State.Level;
   }
   CallStack.clear();
+  ArenaTop = 0;
   Cycles = 0;
   CompileCycles = 0;
   OverheadCycles = 0;
@@ -1101,8 +1301,11 @@ ErrorOr<RunResult> ExecutionEngine::run(const std::vector<Value> &Args,
     return makeError("main expects %u arguments, got %zu",
                      M.function(*MainId).NumParams, Args.size());
 
-  std::optional<Value> Result = invoke(*MainId, Args, 0);
-  if (!Result)
+  std::optional<Value> Result =
+      invoke(*MainId, Args.data(), static_cast<uint32_t>(Args.size()), 0);
+  // A fuel trap raised by main's final instruction still lets the frame
+  // return a value; the run exceeded its budget all the same.
+  if (!Result || PendingTrap != TrapKind::None)
     return makeError("trap in method '%s' (%s)",
                      M.function(TrapMethod).Name.c_str(),
                      trapKindName(PendingTrap));

@@ -26,6 +26,7 @@
 #include "support/Profiler.h"
 #include "support/Trace.h"
 #include "vm/CompileWorker.h"
+#include "vm/CompiledCode.h"
 #include "vm/Dispatch.h"
 #include "vm/Heap.h"
 #include "vm/Policy.h"
@@ -85,7 +86,8 @@ public:
 
   /// Pins externally produced compiled code for \p Id: every subsequent
   /// run() starts the method at Code->Level with this code installed (no
-  /// baseline compile, no recompilation below it).  This is the seam for
+  /// baseline compile, no recompilation below it).  The code is lowered to
+  /// its executable stream here, once.  This is the seam for
   /// executing code built outside the engine's own pipelines — ahead-of-time
   /// caches, or the pass-permutation property tests, which must run IR
   /// produced by arbitrary pass orders.  Pass nullptr to clear.
@@ -116,33 +118,38 @@ private:
   struct MethodState {
     OptLevel Level = OptLevel::Baseline;
     bool BaselineCompiled = false;
-    std::shared_ptr<const jit::CompiledFunction> Code; ///< null at baseline
+    std::shared_ptr<const CompiledCode> Code; ///< null at baseline
     MethodStats Stats;
   };
 
-  /// Invokes a method in its current tier; nullopt means a trap is pending.
-  std::optional<bc::Value> invoke(bc::MethodId Id,
-                                  const std::vector<bc::Value> &Args,
-                                  int Depth);
+  /// Invokes a method in its current tier with the \p NumArgs arguments at
+  /// \p Args (read once, at frame entry); nullopt means a trap is pending.
+  std::optional<bc::Value> invoke(bc::MethodId Id, const bc::Value *Args,
+                                  uint32_t NumArgs, int Depth);
   /// Routes to interpretSwitch or interpretDecoded per DispMode.
-  std::optional<bc::Value> interpret(bc::MethodId Id,
-                                     const std::vector<bc::Value> &Args,
-                                     int Depth);
+  std::optional<bc::Value> interpret(bc::MethodId Id, const bc::Value *Args,
+                                     uint32_t NumArgs, int Depth);
   /// The reference interpreter: one switch per undecoded instruction.
   std::optional<bc::Value> interpretSwitch(bc::MethodId Id,
-                                           const std::vector<bc::Value> &Args,
-                                           int Depth);
+                                           const bc::Value *Args,
+                                           uint32_t NumArgs, int Depth);
   /// The threaded/fused interpreter over the predecoded stream (computed
   /// goto when compiled in, dense switch otherwise).  Charge-for-charge
   /// identical to interpretSwitch.
   std::optional<bc::Value> interpretDecoded(bc::MethodId Id,
-                                            const std::vector<bc::Value> &Args,
-                                            int Depth);
+                                            const bc::Value *Args,
+                                            uint32_t NumArgs, int Depth);
   /// (Re)decodes every function against DispMode/FusionTable.
   void decodeAll();
-  std::optional<bc::Value>
-  executeCompiled(bc::MethodId Id, const jit::CompiledFunction &Code,
-                  const std::vector<bc::Value> &Args, int Depth);
+  /// The compiled-tier executor: walks Code's stream in a register window
+  /// carved from Arena, under a countdown cycle budget (see Engine.cpp).
+  std::optional<bc::Value> executeCompiled(bc::MethodId Id,
+                                           const CompiledCode &Code,
+                                           const bc::Value *Args,
+                                           uint32_t NumArgs, int Depth);
+  /// Cycles the clock can advance before the next sample or fuel trap is
+  /// due (clamped to 2^62); 0 while a trap is pending.
+  int64_t budgetLeft() const;
 
   /// Advances the clock, attributing \p Cycles to the method on top of the
   /// call stack and firing profiler samples as intervals elapse.
@@ -179,8 +186,14 @@ private:
   Heap TheHeap;
   std::vector<MethodState> Methods;
   /// Per-method pinned code (see setCodeOverride); sparse, usually empty.
-  std::vector<std::shared_ptr<const jit::CompiledFunction>> CodeOverrides;
+  std::vector<std::shared_ptr<const CompiledCode>> CodeOverrides;
   std::vector<bc::MethodId> CallStack;
+  /// Register windows of the live compiled frames, stacked from index 0;
+  /// grows on demand (a realloc moves every window, so frames re-derive
+  /// their window pointer after each call).  ArenaTop is the first cell no
+  /// live frame owns: where the next compiled callee's window starts.
+  std::vector<bc::Value> Arena;
+  size_t ArenaTop = 0;
   /// Background pipeline; null in synchronous mode (created at the first
   /// run() when TM.NumCompileWorkers > 0).
   std::unique_ptr<CompileWorkerPool> Workers;

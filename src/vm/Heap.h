@@ -11,6 +11,12 @@
 /// a run's allocations live for the run, matching the arena-style lifetime
 /// of the paper's benchmark kernels.
 ///
+/// The first allocation reserves address space for all MaxCells cells, so
+/// later growth never copies the array (a copying growth keeps the old and
+/// new arrays resident at once).  Only cells actually allocated are touched.
+/// Reserving lazily keeps engine construction cheap for runs that never
+/// allocate.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef EVM_VM_HEAP_H
@@ -39,6 +45,8 @@ public:
       Trap = TrapKind::HeapExhausted;
       return std::nullopt;
     }
+    if (Cells.capacity() < MaxCells)
+      Cells.reserve(MaxCells);
     int64_t Base = static_cast<int64_t>(Cells.size());
     Cells.resize(Cells.size() + static_cast<size_t>(Count));
     return Base;

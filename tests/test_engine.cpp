@@ -200,3 +200,60 @@ TEST(EngineTest, InterpMoreExpensivePerBytecodeThanCompiled) {
   ASSERT_TRUE(static_cast<bool>(RO));
   EXPECT_GT(RB->Cycles, RO->Cycles);
 }
+
+TEST(HeapTest, GrowthKeepsContentsAndExhaustsAtMaxCells) {
+  // The first allocation reserves the whole heap; later allocations must
+  // keep earlier cells intact, and the MaxCells limit traps as before.
+  Heap H(8);
+  TrapKind Trap = TrapKind::None;
+  auto A = H.alloc(3, Trap);
+  ASSERT_TRUE(A.has_value());
+  EXPECT_EQ(*A, 0);
+  ASSERT_TRUE(H.store(2, bc::Value::makeInt(42), Trap));
+  auto B = H.alloc(5, Trap);
+  ASSERT_TRUE(B.has_value());
+  EXPECT_EQ(*B, 3);
+  EXPECT_EQ(H.load(2, Trap)->asInt(), 42);
+  EXPECT_EQ(H.load(7, Trap)->asInt(), 0);
+  EXPECT_FALSE(H.alloc(1, Trap).has_value());
+  EXPECT_EQ(Trap, TrapKind::HeapExhausted);
+  EXPECT_FALSE(H.load(8, Trap).has_value());
+  EXPECT_EQ(Trap, TrapKind::HeapOutOfBounds);
+  H.reset();
+  EXPECT_EQ(H.size(), 0u);
+  auto C = H.alloc(8, Trap);
+  ASSERT_TRUE(C.has_value());
+  EXPECT_EQ(*C, 0);
+  EXPECT_EQ(H.load(2, Trap)->asInt(), 0);
+}
+
+TEST(EngineTest, OversizedAllocationTrapsInEveryTier) {
+  // One cell past the default heap limit (4 Mi cells); nothing is touched.
+  bc::Module M = assemble(R"(
+func main(1) locals 1
+  load_local 0
+  newarr
+  ret
+end
+)");
+  for (int L = 0; L != NumOptLevels; ++L) {
+    class Force : public CompilationPolicy {
+    public:
+      explicit Force(OptLevel L) : L(L) {}
+      std::optional<OptLevel>
+      onFirstInvocation(const MethodRuntimeInfo &) override {
+        if (L == OptLevel::Baseline)
+          return std::nullopt;
+        return L;
+      }
+      OptLevel L;
+    } Policy(levelFromIndex(L));
+    TimingModel TM;
+    ExecutionEngine Engine(M, TM, &Policy);
+    auto R = Engine.run({bc::Value::makeInt((1 << 22) + 1)});
+    ASSERT_FALSE(static_cast<bool>(R)) << "level index " << L;
+    EXPECT_NE(R.getError().message().find("(heap exhausted)"),
+              std::string::npos)
+        << R.getError().message();
+  }
+}
