@@ -37,7 +37,7 @@ XOp binaryHandler(Opcode Op) {
 #define EVM_LOWER_BINARY(OP)                                                   \
   case Opcode::OP:                                                             \
     return XOp::Bin_##OP;
-    EVM_FOR_EACH_XBINARY(EVM_LOWER_BINARY)
+    EVM_FOR_EACH_BINARY_OP(EVM_LOWER_BINARY)
 #undef EVM_LOWER_BINARY
   default:
     assert(false && "not a binary operator");
@@ -50,7 +50,7 @@ XOp unaryHandler(Opcode Op) {
 #define EVM_LOWER_UNARY(OP)                                                    \
   case Opcode::OP:                                                             \
     return XOp::Un_##OP;
-    EVM_FOR_EACH_XUNARY(EVM_LOWER_UNARY)
+    EVM_FOR_EACH_UNARY_OP(EVM_LOWER_UNARY)
 #undef EVM_LOWER_UNARY
   default:
     assert(false && "not a unary operator");

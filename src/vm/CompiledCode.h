@@ -15,8 +15,8 @@
 ///   * each entry carries its full virtual-clock charge (compiled dispatch
 ///     plus the operation's cost), so the executor subtracts one number;
 ///   * one handler per (IROp, scalar operator): `Binary Add` is its own
-///     handler with an inline int/int fast path, so arithmetic costs one
-///     dispatch instead of an IROp switch plus evalBinary's opcode switch;
+///     handler and inlines vm/Eval's binaryOp<Add> for every operand kind,
+///     so arithmetic costs one dispatch and no call;
 ///   * call arguments are register lists in a side table.
 ///
 /// The executor itself (ExecutionEngine::executeCompiled) lives in
@@ -27,6 +27,7 @@
 #ifndef EVM_VM_COMPILEDCODE_H
 #define EVM_VM_COMPILEDCODE_H
 
+#include "vm/Eval.h"
 #include "vm/Timing.h"
 #include "vm/jit/Compiler.h"
 
@@ -36,15 +37,6 @@
 
 namespace evm {
 namespace vm {
-
-/// Every binary scalar operator, in bc::Opcode order.
-#define EVM_FOR_EACH_XBINARY(X)                                                \
-  X(Add) X(Sub) X(Mul) X(Div) X(Mod) X(And) X(Or) X(Xor) X(Shl) X(Shr) X(Eq)   \
-  X(Ne) X(Lt) X(Le) X(Gt) X(Ge) X(Min) X(Max)
-
-/// Every unary scalar operator, in bc::Opcode order.
-#define EVM_FOR_EACH_XUNARY(X)                                                 \
-  X(Neg) X(Not) X(I2F) X(F2I) X(Sqrt) X(Sin) X(Cos) X(Floor) X(Abs)
 
 /// The stream handlers for the non-scalar IR operations.
 #define EVM_FOR_EACH_XCORE(X)                                                  \
@@ -57,8 +49,8 @@ enum class XOp : uint8_t {
 #define EVM_XOP_CORE(NAME) NAME,
 #define EVM_XOP_BINARY(OP) Bin_##OP,
 #define EVM_XOP_UNARY(OP) Un_##OP,
-  EVM_FOR_EACH_XCORE(EVM_XOP_CORE) EVM_FOR_EACH_XBINARY(EVM_XOP_BINARY)
-      EVM_FOR_EACH_XUNARY(EVM_XOP_UNARY)
+  EVM_FOR_EACH_XCORE(EVM_XOP_CORE) EVM_FOR_EACH_BINARY_OP(EVM_XOP_BINARY)
+      EVM_FOR_EACH_UNARY_OP(EVM_XOP_UNARY)
 #undef EVM_XOP_CORE
 #undef EVM_XOP_BINARY
 #undef EVM_XOP_UNARY

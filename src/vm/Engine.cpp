@@ -629,32 +629,20 @@ static_assert(0 EVM_FOR_EACH_OPCODE(EVM_COUNT_ONE) == bc::NumOpcodes,
   Stack.pop_back();
 #define EVM_HEAD_Nop(OPND, PC)
 
+// Scalar operators inline vm/Eval's templates; the result replaces the
+// left operand (or the only one) in place.
 #define EVM_BINOP_BODY(OPC, PC)                                                \
   {                                                                            \
-    TrapKind Trap = TrapKind::None;                                            \
     Value Rhs = Stack.back();                                                  \
     Stack.pop_back();                                                          \
-    Value Lhs = Stack.back();                                                  \
-    Stack.pop_back();                                                          \
-    auto R = evalBinary(OPC, Lhs, Rhs, Trap);                                  \
-    if (!R) {                                                                  \
+    Value &Lhs = Stack.back();                                                 \
+    if (TrapKind Trap = binaryOp<OPC>(Lhs, Rhs, Lhs);                          \
+        Trap != TrapKind::None) {                                              \
       setTrap(Trap, Id, PC);                                                   \
       return std::nullopt;                                                     \
     }                                                                          \
-    Stack.push_back(*R);                                                       \
   }
-#define EVM_UNOP_BODY(OPC, PC)                                                 \
-  {                                                                            \
-    TrapKind Trap = TrapKind::None;                                            \
-    Value Arg = Stack.back();                                                  \
-    Stack.pop_back();                                                          \
-    auto R = evalUnary(OPC, Arg, Trap);                                        \
-    if (!R) {                                                                  \
-      setTrap(Trap, Id, PC);                                                   \
-      return std::nullopt;                                                     \
-    }                                                                          \
-    Stack.push_back(*R);                                                       \
-  }
+#define EVM_UNOP_BODY(OPC, PC) Stack.back() = unaryOp<OPC>(Stack.back());
 
 #define EVM_HEAD_Add(OPND, PC) EVM_BINOP_BODY(Opcode::Add, PC)
 #define EVM_HEAD_Sub(OPND, PC) EVM_BINOP_BODY(Opcode::Sub, PC)
@@ -941,78 +929,6 @@ int64_t ExecutionEngine::budgetLeft() const {
 
 namespace {
 
-/// The int/int result of a binary operator, or false when evalBinary must
-/// decide (a trap, or INT64_MIN / -1).  Same semantics as vm/Eval.
-template <Opcode Op> inline bool intBinary(int64_t X, int64_t Y, int64_t &R) {
-  using U = uint64_t;
-  if constexpr (Op == Opcode::Add) {
-    R = static_cast<int64_t>(static_cast<U>(X) + static_cast<U>(Y));
-  } else if constexpr (Op == Opcode::Sub) {
-    R = static_cast<int64_t>(static_cast<U>(X) - static_cast<U>(Y));
-  } else if constexpr (Op == Opcode::Mul) {
-    R = static_cast<int64_t>(static_cast<U>(X) * static_cast<U>(Y));
-  } else if constexpr (Op == Opcode::Div || Op == Opcode::Mod) {
-    if (Y == 0 || (X == INT64_MIN && Y == -1))
-      return false;
-    R = Op == Opcode::Div ? X / Y : X % Y;
-  } else if constexpr (Op == Opcode::And) {
-    R = X & Y;
-  } else if constexpr (Op == Opcode::Or) {
-    R = X | Y;
-  } else if constexpr (Op == Opcode::Xor) {
-    R = X ^ Y;
-  } else if constexpr (Op == Opcode::Shl) {
-    R = static_cast<int64_t>(static_cast<U>(X) << (Y & 63));
-  } else if constexpr (Op == Opcode::Shr) {
-    R = X >> (Y & 63);
-  } else if constexpr (Op == Opcode::Eq) {
-    R = X == Y;
-  } else if constexpr (Op == Opcode::Ne) {
-    R = X != Y;
-  } else if constexpr (Op == Opcode::Lt) {
-    R = X < Y;
-  } else if constexpr (Op == Opcode::Le) {
-    R = X <= Y;
-  } else if constexpr (Op == Opcode::Gt) {
-    R = X > Y;
-  } else if constexpr (Op == Opcode::Ge) {
-    R = X >= Y;
-  } else if constexpr (Op == Opcode::Min) {
-    R = std::min(X, Y);
-  } else {
-    static_assert(Op == Opcode::Max, "not a binary operator");
-    R = std::max(X, Y);
-  }
-  return true;
-}
-
-/// The result of a unary operator when it needs no libm call, or false to
-/// defer to evalUnary.  Same semantics as vm/Eval.
-template <Opcode Op> inline bool fastUnary(const Value &A, Value &R) {
-  if constexpr (Op == Opcode::Not) {
-    R = Value::makeInt(A.isTruthy() ? 0 : 1);
-    return true;
-  } else if constexpr (Op == Opcode::I2F) {
-    R = Value::makeFloat(A.toDouble());
-    return true;
-  } else if constexpr (Op == Opcode::Neg || Op == Opcode::Abs) {
-    if (!A.isInt())
-      return false;
-    uint64_t X = static_cast<uint64_t>(A.asInt());
-    R = Value::makeInt(Op == Opcode::Abs && A.asInt() >= 0
-                           ? A.asInt()
-                           : static_cast<int64_t>(0 - X));
-    return true;
-  } else if constexpr (Op == Opcode::F2I || Op == Opcode::Floor) {
-    if (!A.isInt())
-      return false;
-    R = A;
-    return true;
-  } else {
-    return false; // Sqrt, Sin, Cos
-  }
-}
-
 /// Restores the arena top when a compiled frame exits by any path.
 struct WindowRelease {
   size_t &Top;
@@ -1079,33 +995,21 @@ std::optional<Value> ExecutionEngine::executeCompiled(MethodId Id,
     return std::nullopt;                                                       \
   } while (0)
 
+// Scalar operators inline vm/Eval's templates for every operand kind.
 #define EVM_X_BINARY(OP)                                                       \
   EVM_X_CASE(Bin_##OP) {                                                       \
     EVM_X_CHARGE                                                               \
-    const Value &L = Regs[IP->A], &R = Regs[IP->B];                            \
-    int64_t Int;                                                               \
-    if (L.isInt() && R.isInt() &&                                              \
-        intBinary<Opcode::OP>(L.asInt(), R.asInt(), Int)) {                    \
-      Regs[IP->Dest] = Value::makeInt(Int);                                    \
-    } else {                                                                   \
-      TrapKind Trap = TrapKind::None;                                          \
-      std::optional<Value> V = evalBinary(Opcode::OP, L, R, Trap);             \
-      if (!V)                                                                  \
-        EVM_X_TRAP(Trap);                                                      \
-      Regs[IP->Dest] = *V;                                                     \
-    }                                                                          \
+    if (TrapKind Trap = binaryOp<Opcode::OP>(Regs[IP->A], Regs[IP->B],         \
+                                             Regs[IP->Dest]);                  \
+        Trap != TrapKind::None)                                                \
+      EVM_X_TRAP(Trap);                                                        \
     ++IP;                                                                      \
     EVM_X_NEXT;                                                                \
   }
 #define EVM_X_UNARY(OP)                                                        \
   EVM_X_CASE(Un_##OP) {                                                        \
     EVM_X_CHARGE                                                               \
-    Value V;                                                                   \
-    if (!fastUnary<Opcode::OP>(Regs[IP->A], V)) {                              \
-      TrapKind Trap = TrapKind::None;                                          \
-      V = *evalUnary(Opcode::OP, Regs[IP->A], Trap); /* never traps */         \
-    }                                                                          \
-    Regs[IP->Dest] = V;                                                        \
+    Regs[IP->Dest] = unaryOp<Opcode::OP>(Regs[IP->A]);                         \
     ++IP;                                                                      \
     EVM_X_NEXT;                                                                \
   }
@@ -1192,8 +1096,8 @@ std::optional<Value> ExecutionEngine::executeCompiled(MethodId Id,
     EVM_X_SETTLE;                                                              \
     return Regs[IP->A];                                                        \
   }                                                                            \
-  EVM_FOR_EACH_XBINARY(EVM_X_BINARY)                                           \
-  EVM_FOR_EACH_XUNARY(EVM_X_UNARY)
+  EVM_FOR_EACH_BINARY_OP(EVM_X_BINARY)                                         \
+  EVM_FOR_EACH_UNARY_OP(EVM_X_UNARY)
 
 #if EVM_USE_CGOTO
   static const void *const Handlers[] = {
@@ -1201,8 +1105,8 @@ std::optional<Value> ExecutionEngine::executeCompiled(MethodId Id,
 #define EVM_X_BINARY_ADDR(OP) &&X_Bin_##OP,
 #define EVM_X_UNARY_ADDR(OP) &&X_Un_##OP,
       EVM_FOR_EACH_XCORE(EVM_X_CORE_ADDR)
-          EVM_FOR_EACH_XBINARY(EVM_X_BINARY_ADDR)
-              EVM_FOR_EACH_XUNARY(EVM_X_UNARY_ADDR)
+          EVM_FOR_EACH_BINARY_OP(EVM_X_BINARY_ADDR)
+              EVM_FOR_EACH_UNARY_OP(EVM_X_UNARY_ADDR)
 #undef EVM_X_CORE_ADDR
 #undef EVM_X_BINARY_ADDR
 #undef EVM_X_UNARY_ADDR

@@ -44,8 +44,9 @@ bool jit::foldConstantsLocal(IRFunction &F) {
         if (const Value *V = Lookup(I.A)) {
           I.Op = IROp::MovImm;
           I.Imm = *V;
+          // V points into Consts; when Dest == A, Invalidate frees it.
           Invalidate(I.Dest);
-          Consts.emplace(I.Dest, *V);
+          Consts.emplace(I.Dest, I.Imm);
           Changed = true;
         } else {
           Invalidate(I.Dest);

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+
 namespace evm {
 namespace test {
 
@@ -18,6 +20,27 @@ inline bc::Module assemble(std::string_view Source) {
   EXPECT_TRUE(static_cast<bool>(M))
       << (M ? "" : M.getError().message());
   return M ? M.takeValue() : bc::Module();
+}
+
+/// Stack for the call-depth-limit cases: ExecutionEngine::MaxCallDepth
+/// interpreted frames overflow the default 8 MB stack in an
+/// AddressSanitizer build, whose frames are about 28 KB each.
+constexpr size_t DeepRecursionStackBytes = size_t(64) << 20;
+
+/// Runs \p Body to completion on a thread with a \p StackBytes stack.
+template <typename Fn> void runWithStack(size_t StackBytes, Fn Body) {
+  pthread_attr_t Attr;
+  ASSERT_EQ(pthread_attr_init(&Attr), 0);
+  ASSERT_EQ(pthread_attr_setstacksize(&Attr, StackBytes), 0);
+  pthread_t Thread;
+  void *(*Entry)(void *) = [](void *P) -> void * {
+    (*static_cast<Fn *>(P))();
+    return nullptr;
+  };
+  int Err = pthread_create(&Thread, &Attr, Entry, &Body);
+  pthread_attr_destroy(&Attr);
+  ASSERT_EQ(Err, 0);
+  pthread_join(Thread, nullptr);
 }
 
 /// Runs main(Args) without any recompilation policy; fails on traps.

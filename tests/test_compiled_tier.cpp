@@ -9,7 +9,11 @@
 //   * compiled recursion down to CallDepthExceeded;
 //   * an operator trap on the instruction right after a call returns;
 //   * observer identity: a compiled-heavy Mtrt replay with a phase profiler
-//     attached and the tracer on.
+//     attached and the tracer on;
+//   * the per-operator table: every binary and unary operator over int,
+//     float and mixed edge operands gives the same kind, payload bits and
+//     trap in evalBinary/evalUnary, both interpreter loops, compiled O0
+//     code and the O2 constant folder.
 //
 // The pinned figures and digests were recorded with a clock that charged
 // every IR instruction one at a time.  The compiled-tier executor settles
@@ -23,6 +27,7 @@
 #include "support/Trace.h"
 #include "vm/AOS.h"
 #include "vm/Engine.h"
+#include "vm/Eval.h"
 #include "vm/Policy.h"
 #include "workloads/Workload.h"
 
@@ -30,6 +35,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <limits>
 #include <string>
 
 using namespace evm;
@@ -275,33 +285,35 @@ TEST(CompiledTier, CompiledRecursionToCallDepthExceeded) {
   const uint64_t PinnedDeepDigest[3] = {
       5548661426900228215ULL, 13355481328449468728ULL, 416348389304096657ULL};
   const uint64_t PinnedTrapCycles[3] = {27493, 57043, 182139};
-  for (size_t K = 0; K != 3; ++K) {
-    OptLevel L = CompiledLevels[K];
-    SCOPED_TRACE(std::string("O") + levelName(L));
-    TimingModel TM;
-    ForceLevelPolicy Policy(L);
-    ExecutionEngine Engine(M, TM, &Policy);
-    // Deep but legal: the register windows of ~500 frames.
-    auto Deep = Engine.run({bc::Value::makeInt(500)});
-    ASSERT_TRUE(static_cast<bool>(Deep)) << trapOf(Deep);
-    EXPECT_EQ(Deep->ReturnValue.asInt(), 500);
-    uint64_t TrapCycles;
-    {
-      PhaseProfiler Prof;
-      ProfilerInstallGuard Guard(&Prof);
-      auto TooDeep = Engine.run({bc::Value::makeInt(100000)});
-      EXPECT_NE(trapOf(TooDeep).find("(call depth exceeded)"),
-                std::string::npos)
-          << trapOf(TooDeep);
-      TrapCycles = Prof.snapshot().totalUnder("run");
+  test::runWithStack(test::DeepRecursionStackBytes, [&] {
+    for (size_t K = 0; K != 3; ++K) {
+      OptLevel L = CompiledLevels[K];
+      SCOPED_TRACE(std::string("O") + levelName(L));
+      TimingModel TM;
+      ForceLevelPolicy Policy(L);
+      ExecutionEngine Engine(M, TM, &Policy);
+      // Deep but legal: the register windows of ~500 frames.
+      auto Deep = Engine.run({bc::Value::makeInt(500)});
+      ASSERT_TRUE(static_cast<bool>(Deep)) << trapOf(Deep);
+      EXPECT_EQ(Deep->ReturnValue.asInt(), 500);
+      uint64_t TrapCycles;
+      {
+        PhaseProfiler Prof;
+        ProfilerInstallGuard Guard(&Prof);
+        auto TooDeep = Engine.run({bc::Value::makeInt(100000)});
+        EXPECT_NE(trapOf(TooDeep).find("(call depth exceeded)"),
+                  std::string::npos)
+            << trapOf(TooDeep);
+        TrapCycles = Prof.snapshot().totalUnder("run");
+      }
+      // The engine is reusable after unwinding from the depth limit.
+      auto Again = Engine.run({bc::Value::makeInt(500)});
+      ASSERT_TRUE(static_cast<bool>(Again)) << trapOf(Again);
+      EXPECT_EQ(describe(*Again), describe(*Deep));
+      EXPECT_EQ(fnv1a(describe(*Deep)), PinnedDeepDigest[K]);
+      EXPECT_EQ(TrapCycles, PinnedTrapCycles[K]);
     }
-    // The engine is reusable after unwinding from the depth limit.
-    auto Again = Engine.run({bc::Value::makeInt(500)});
-    ASSERT_TRUE(static_cast<bool>(Again)) << trapOf(Again);
-    EXPECT_EQ(describe(*Again), describe(*Deep));
-    EXPECT_EQ(fnv1a(describe(*Deep)), PinnedDeepDigest[K]);
-    EXPECT_EQ(TrapCycles, PinnedTrapCycles[K]);
-  }
+  });
 }
 
 TEST(CompiledTier, OperatorTrapRightAfterCallReturns) {
@@ -359,4 +371,173 @@ TEST(CompiledTier, ObserverIdentityOnCompiledHeavyReplay) {
     EXPECT_EQ(fnv1a(Phases), PinnedPhases[Slot]);
     EXPECT_EQ(fnv1a(Trace), PinnedTrace[Slot]);
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Per-operator cross-tier table
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A value's kind and exact 64-bit payload (NaNs compare by bits).
+std::string bitsOf(const bc::Value &V) {
+  uint64_t Bits;
+  if (V.isInt()) {
+    Bits = static_cast<uint64_t>(V.asInt());
+  } else {
+    double D = V.asFloat();
+    std::memcpy(&Bits, &D, sizeof(Bits));
+  }
+  char Buf[40];
+  std::snprintf(Buf, sizeof(Buf), "%s:%016" PRIx64, V.isInt() ? "i" : "f",
+                Bits);
+  return Buf;
+}
+
+std::string outcomeOf(const std::optional<bc::Value> &V, TrapKind Trap) {
+  return V ? bitsOf(*V) : std::string("trap:") + trapKindName(Trap);
+}
+
+/// A run's outcome in the same rendering; a trap is read back from the
+/// engine's "(<trap kind>)" message suffix.
+std::string outcomeOf(const ErrorOr<RunResult> &R) {
+  if (R)
+    return bitsOf(R->ReturnValue);
+  const std::string &Msg = R.getError().message();
+  size_t Open = Msg.rfind('(');
+  return "trap:" + Msg.substr(Open + 1, Msg.size() - Open - 2);
+}
+
+bc::Instr instr(bc::Opcode Op, int64_t Operand = 0) {
+  bc::Instr I;
+  I.Op = Op;
+  I.Operand = Operand;
+  return I;
+}
+
+bc::Instr push(const bc::Value &V) {
+  return V.isInt() ? instr(bc::Opcode::ConstInt, V.asInt())
+                   : instr(bc::Opcode::ConstFloat,
+                           bc::Instr::encodeFloat(V.asFloat()));
+}
+
+/// main(params) applying \p Op to its operands: the parameters when
+/// \p Consts is empty, else the constants themselves (which the O2
+/// constant folder evaluates at compile time).
+bc::Module oneOpModule(bc::Opcode Op, uint32_t Arity,
+                       const std::vector<bc::Value> &Consts) {
+  bc::Function F;
+  F.Name = "main";
+  F.NumParams = F.NumLocals = Consts.empty() ? Arity : 0;
+  for (uint32_t K = 0; K != Arity; ++K)
+    F.Code.push_back(Consts.empty() ? instr(bc::Opcode::LoadLocal, K)
+                                    : push(Consts[K]));
+  F.Code.push_back(instr(Op));
+  F.Code.push_back(instr(bc::Opcode::Ret));
+  bc::Module M;
+  M.addFunction(std::move(F));
+  return M;
+}
+
+/// Runs \p M once in the baseline interpreter under \p Mode.
+ErrorOr<RunResult> runInterpreted(const bc::Module &M, DispatchMode Mode,
+                                  const std::vector<bc::Value> &Args) {
+  TimingModel TM;
+  ExecutionEngine Engine(M, TM, nullptr);
+  Engine.setDispatchMode(Mode);
+  return Engine.run(Args);
+}
+
+ErrorOr<RunResult> runCompiled(const bc::Module &M, OptLevel L,
+                               const std::vector<bc::Value> &Args) {
+  TimingModel TM;
+  ForceLevelPolicy Policy(L);
+  ExecutionEngine Engine(M, TM, &Policy);
+  return Engine.run(Args);
+}
+
+#define EVM_TABLE_OP(OP) bc::Opcode::OP,
+const bc::Opcode BinaryOps[] = {EVM_FOR_EACH_BINARY_OP(EVM_TABLE_OP)};
+const bc::Opcode UnaryOps[] = {EVM_FOR_EACH_UNARY_OP(EVM_TABLE_OP)};
+#undef EVM_TABLE_OP
+
+std::vector<bc::Value> intEdges() {
+  return {bc::Value::makeInt(0), bc::Value::makeInt(1), bc::Value::makeInt(-1),
+          bc::Value::makeInt(INT64_MIN), bc::Value::makeInt(INT64_MAX)};
+}
+
+std::vector<bc::Value> floatEdges() {
+  const double Inf = std::numeric_limits<double>::infinity();
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  std::vector<bc::Value> Edges;
+  for (double D : {0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 1e300, Inf, -Inf, NaN})
+    Edges.push_back(bc::Value::makeFloat(D));
+  return Edges;
+}
+
+/// Checks one operator application in every tier against \p Want (the
+/// evalBinary/evalUnary outcome).
+void expectAllTiers(bc::Opcode Op, const std::vector<bc::Value> &Operands,
+                    const std::string &Want) {
+  std::string Where(bc::getOpcodeInfo(Op).Mnemonic);
+  for (const bc::Value &V : Operands)
+    Where += " " + bitsOf(V);
+  SCOPED_TRACE(Where);
+  uint32_t Arity = static_cast<uint32_t>(Operands.size());
+  bc::Module ByArgs = oneOpModule(Op, Arity, {});
+  EXPECT_EQ(outcomeOf(runInterpreted(ByArgs, DispatchMode::Switch, Operands)),
+            Want)
+      << "interpretSwitch";
+  EXPECT_EQ(
+      outcomeOf(runInterpreted(ByArgs, DispatchMode::Threaded, Operands)),
+      Want)
+      << "interpretDecoded";
+  EXPECT_EQ(outcomeOf(runCompiled(ByArgs, OptLevel::O0, Operands)), Want)
+      << "compiled O0";
+  bc::Module ByConsts = oneOpModule(Op, Arity, Operands);
+  EXPECT_EQ(outcomeOf(runCompiled(ByConsts, OptLevel::O2, {})), Want)
+      << "O2 constant folder";
+}
+
+} // namespace
+
+TEST(CompiledTier, BinaryOperatorTableAgreesAcrossTiers) {
+  std::vector<bc::Value> Ints = intEdges(), Floats = floatEdges();
+  // Operand kinds II, FF, IF and FI.
+  const std::vector<bc::Value> *Kinds[4][2] = {
+      {&Ints, &Ints}, {&Floats, &Floats}, {&Ints, &Floats}, {&Floats, &Ints}};
+  size_t Checked = 0;
+  for (bc::Opcode Op : BinaryOps) {
+    ASSERT_TRUE(isBinaryOp(Op));
+    for (const auto &Kind : Kinds)
+      for (const bc::Value &A : *Kind[0])
+        for (const bc::Value &B : *Kind[1]) {
+          TrapKind Trap = TrapKind::None;
+          std::optional<bc::Value> R = evalBinary(Op, A, B, Trap);
+          expectAllTiers(Op, {A, B}, outcomeOf(R, Trap));
+          ++Checked;
+        }
+  }
+  EXPECT_EQ(Checked, 18u * (5 * 5 + 10 * 10 + 5 * 10 + 10 * 5));
+}
+
+TEST(CompiledTier, UnaryOperatorTableAgreesAcrossTiers) {
+  std::vector<bc::Value> Operands = intEdges();
+  for (const bc::Value &F : floatEdges())
+    Operands.push_back(F);
+  size_t Checked = 0;
+  for (bc::Opcode Op : UnaryOps) {
+    ASSERT_TRUE(isUnaryOp(Op));
+    for (const bc::Value &A : Operands) {
+      // F2I of NaN, an infinity or an out-of-range float is undefined.
+      if (Op == bc::Opcode::F2I && A.isFloat() &&
+          !(std::fabs(A.asFloat()) < 0x1p63))
+        continue;
+      TrapKind Trap = TrapKind::None;
+      std::optional<bc::Value> R = evalUnary(Op, A, Trap);
+      expectAllTiers(Op, {A}, outcomeOf(R, Trap));
+      ++Checked;
+    }
+  }
+  EXPECT_EQ(Checked, 9u * 15 - 4);
 }

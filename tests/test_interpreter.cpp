@@ -219,11 +219,13 @@ func rec(1)
   ret
 end
 )");
-  TimingModel TM;
-  ExecutionEngine Engine(M, TM, nullptr);
-  auto R = Engine.run({}, 1ULL << 40);
-  ASSERT_FALSE(static_cast<bool>(R));
-  EXPECT_NE(R.getError().message().find("call depth"), std::string::npos);
+  test::runWithStack(test::DeepRecursionStackBytes, [&] {
+    TimingModel TM;
+    ExecutionEngine Engine(M, TM, nullptr);
+    auto R = Engine.run({}, 1ULL << 40);
+    ASSERT_FALSE(static_cast<bool>(R));
+    EXPECT_NE(R.getError().message().find("call depth"), std::string::npos);
+  });
 }
 
 //===----------------------------------------------------------------------===//

@@ -107,6 +107,34 @@ TEST(ConstantFoldingTest, InvalidatesOnRedefinition) {
   EXPECT_EQ(countOps(F, IROp::Binary), 1u); // add not folded
 }
 
+TEST(ConstantFoldingTest, FoldsSelfMovOfConstant) {
+  // r0 = 5; mov r0, r0; r1 = r0 + r0; ret r1.  The self-move redefines the
+  // register whose constant it reads, so the fold must not read the map
+  // entry it has just dropped.
+  IRFunction F;
+  F.Name = "main";
+  F.NumLocals = 1;
+  F.NumRegs = 2;
+  F.Blocks.resize(1);
+  std::vector<IRInstr> &Code = F.Blocks[0].Instrs;
+  Code.resize(4);
+  Code[0].Op = IROp::MovImm;
+  Code[0].Imm = bc::Value::makeInt(5);
+  Code[1].Op = IROp::Mov; // Dest == A == r0
+  Code[2].Op = IROp::Binary;
+  Code[2].ScalarOp = bc::Opcode::Add;
+  Code[2].Dest = 1;
+  Code[3].Op = IROp::Ret;
+  Code[3].A = 1;
+  ASSERT_EQ(F.validate(), "");
+  EXPECT_TRUE(foldConstantsLocal(F));
+  EXPECT_EQ(Code[1].Op, IROp::MovImm);
+  EXPECT_EQ(Code[1].Dest, 0u);
+  EXPECT_EQ(Code[1].Imm.asInt(), 5);
+  ASSERT_EQ(Code[2].Op, IROp::MovImm);
+  EXPECT_EQ(Code[2].Imm.asInt(), 10);
+}
+
 TEST(ConstantFoldingTest, FoldsUnary) {
   IRFunction F = lowerMain("func main(0)\n  const_f 9.0\n  sqrt\n"
                            "  f2i\n  ret\nend\n");
